@@ -228,10 +228,10 @@ let validate_bench_json path =
 (* Fig 6a/6b: query types. *)
 
 let run_measure ?(figure = "adhoc") ?(x = 0.0) ?repeats ?warmup ?summary ?jobs
-    ?use_delta ?use_native ?use_steal ~session ~label ~algo ~variant q =
+    ?use_delta ~session ~label ~algo ~variant q =
   record ~figure ~x
-    (E.run ?repeats ?warmup ?summary ?jobs ?use_delta ?use_native ?use_steal
-       ~obs_sinks:(obs_sinks ()) ~session ~label ~algo ~variant q)
+    (E.run ?repeats ?warmup ?summary ?jobs ?use_delta ~obs_sinks:(obs_sinks ())
+       ~session ~label ~algo ~variant q)
 
 let query_types variant =
   let figure = match variant with Q.Satisfied -> "fig6a" | Q.Unsatisfied -> "fig6b" in
@@ -692,20 +692,16 @@ let parallel () =
    >= 2x faster, but only on hosts with enough cores to make the bound
    physically meaningful (a single-core host cannot exhibit parallel
    speedup, only scheduler interleaving); on such hosts the sweep is
-   recorded and the gate logged as vacuous. The closure-compiled
-   evaluation gate (native <= interpreted at jobs=1) is single-threaded
-   and enforced on every full run. *)
+   recorded and the gate logged as vacuous. Both sizes have at least 32
+   nodes, so the jobs>1 runs take the work-stealing backend. *)
 
-let dense_pairs () = if !smoke_flag then 12 else 20
-let dense_native_pairs () = if !smoke_flag then 10 else 16
+let dense_pairs () = if !smoke_flag then 16 else 20
 
 let dense_session pairs = E.session_of (W.Dense.db ~pairs)
 
-let dense_measure ?(repeats = 1) ?use_native ~session ~figure ~x ~jobs
-    ~use_steal label =
-  run_measure ~figure ~x ~repeats ~summary:`Min ~jobs ~use_delta:false
-    ?use_native ~use_steal ~session ~label ~algo:E.Naive ~variant:Q.Satisfied
-    (W.Dense.query ())
+let dense_measure ~session ~figure ~x ~jobs label =
+  run_measure ~figure ~x ~repeats:1 ~summary:`Min ~jobs ~use_delta:false
+    ~session ~label ~algo:E.Naive ~variant:Q.Satisfied (W.Dense.query ())
 
 let dense () =
   let pairs = dense_pairs () in
@@ -726,7 +722,7 @@ let dense () =
   let measure jobs =
     check_exhaustive
       (dense_measure ~session:sess ~figure:"dense-jobs" ~x:(float_of_int jobs)
-         ~jobs ~use_steal:(jobs > 1) label)
+         ~jobs label)
   in
   let m1 = measure 1 in
   let m2 = measure 2 in
@@ -750,25 +746,8 @@ let dense () =
       fail "dense/%s: jobs=4 not >=2x faster than jobs=1 (%.4fs vs %.4fs)"
         label m4.E.seconds m1.E.seconds
   end;
-  (* Closure-compiled vs interpreted evaluation, solver end to end on a
-     smaller instance of the same shape (single-threaded, so the bound
-     holds on any host). *)
-  let npairs = dense_native_pairs () in
-  let nworlds = W.Dense.worlds ~pairs:npairs in
-  let nlabel = Printf.sprintf "dense-%dp" npairs in
-  let nsess = dense_session npairs in
-  let nmeasure use_native x =
-    dense_measure ~repeats:3 ~use_native ~session:nsess ~figure:"dense-native"
-      ~x ~jobs:1 ~use_steal:false nlabel
-  in
-  let interp = nmeasure false 0.0 in
-  let native = nmeasure true 1.0 in
-  if native.E.eval_native = 0 then
-    fail "dense/%s: native run took the closure-compiled path 0 times" nlabel;
-  if (not !smoke_flag) && native.E.seconds > interp.E.seconds then
-    fail "dense/%s: closure-compiled eval slower than interpreted (%.4fs vs \
-          %.4fs)"
-      nlabel native.E.seconds interp.E.seconds;
+  if m1.E.eval_native = 0 then
+    fail "dense/%s: jobs=1 run took the closure-compiled path 0 times" label;
   (* The Opt contrast: component decomposition collapses the instance. *)
   let opt =
     run_measure ~figure:"dense" ~x:(float_of_int worlds) ~repeats:1
@@ -799,13 +778,8 @@ let dense () =
            ("claim-lock", m1);
            ("steal", m2);
            ("steal", m4);
-           (nlabel ^ "-interp", interp);
-           (nlabel ^ "-native", native);
            ("opt-contrast", opt);
-         ]);
-  if nworlds <> native.E.stats.Core.Dcsat.worlds_checked then
-    fail "dense/%s: native run visited %d worlds, expected %d" nlabel
-      native.E.stats.Core.Dcsat.worlds_checked nworlds
+         ])
 
 (* ------------------------------------------------------------------ *)
 (* Eval layer micro-benchmark (`make bench-eval`): the incremental
@@ -1313,16 +1287,17 @@ let servebench () =
       label inc.W.Poisson.mean_service floor rebuild.W.Poisson.mean_service;
   if inc.W.Poisson.p99 < inc.W.Poisson.p50 then
     fail "serve/%s: p99 below p50" label;
-  (* The per-(query, component) verdict cache, forced on vs off over the
-     same warm mempool. First the pointwise contract: the second check
-     of an unchanged mempool must hit the cache at least once. *)
+  (* The per-(query, component) verdict cache against an uncached
+     solve of the same warm session. First the pointwise contract: the
+     second check of an unchanged mempool must hit the cache at least
+     once. *)
   let cached_check () =
-    match Core.Live.check ~use_cache:true live q with
+    match Core.Live.check live q with
     | Ok _ -> ()
     | Error e -> fail "serve/%s: cached check: %s" label e
   in
   let uncached_check () =
-    match Core.Live.check ~use_cache:false live q with
+    match Core.Solver.solve (Core.Live.session live) q with
     | Ok _ -> ()
     | Error e -> fail "serve/%s: uncached check: %s" label e
   in
@@ -1350,7 +1325,7 @@ let servebench () =
   (match Core.Live.evict live "cache-probe" with
   | Ok () -> ()
   | Error e -> fail "serve/%s: evict cache-probe: %s" label e);
-  (* The headline series: warm checks with the cache on vs off. *)
+  (* The headline series: warm checks with and without the cache. *)
   let c0 = Core.Live.cache_stats live in
   let cache_on =
     W.Poisson.run ~seed:0xCAC ~rate ~requests (fun _ -> cached_check ())
@@ -1370,8 +1345,8 @@ let servebench () =
   in
   if (not !smoke_flag) && cache_speedup < 3.0 then
     fail
-      "serve/%s: cached warm check (%.6fs) not >=3x faster than \
-       BCDB_LIVE_CACHE=0 (%.6fs, %.1fx)"
+      "serve/%s: cached warm check (%.6fs) not >=3x faster than an \
+       uncached solve (%.6fs, %.1fx)"
       label cache_on.W.Poisson.mean_service cache_off.W.Poisson.mean_service
       cache_speedup;
   let template =
@@ -1464,11 +1439,11 @@ let smoke () =
   (* Dense steal + closure-compiled smoke: the work-stealing clique
      backend and the native evaluation tier must both actually engage
      at CI scale — an inert fast path would otherwise pass silently. *)
-  let dpairs = 12 in
+  let dpairs = 16 in
   let dm =
     dense_measure
       ~session:(dense_session dpairs)
-      ~figure:"dense-jobs" ~x:2.0 ~jobs:2 ~use_steal:true
+      ~figure:"dense-jobs" ~x:2.0 ~jobs:2
       (Printf.sprintf "dense-%dp" dpairs)
   in
   if dm.E.eval_native = 0 then

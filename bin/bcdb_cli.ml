@@ -87,19 +87,41 @@ let validate_snapshot_arg =
            restoring (a whole-state scan; snapshots written by this tool \
            already satisfied it when saved).")
 
+(* Admission limits, shared by the CLI flags and the serve directives:
+   how to read one, which values it allows, and what to ask for
+   otherwise. [s >= 0.0] is false on NaN, whose deadline never passes. *)
+let timeout_limit = (float_of_string_opt, (fun s -> s >= 0.0), "seconds >= 0")
+let max_worlds_limit = (int_of_string_opt, (fun n -> n >= 0), "a count >= 0")
+
+let jobs_limit =
+  ( int_of_string_opt,
+    (fun n -> n >= 1 && n <= Core.Engine.max_jobs),
+    Printf.sprintf "1..%d" Core.Engine.max_jobs )
+
+let read_limit (parse, ok, want) s =
+  match parse s with
+  | Some v when ok v -> Ok v
+  | _ -> Error (Printf.sprintf "%S: want %s" s want)
+
+let limit_conv limit pp =
+  let parse s = Result.map_error (fun m -> `Msg m) (read_limit limit s) in
+  Arg.conv (parse, pp)
+
 let jobs =
   Arg.(
-    value & opt int 1
+    value
+    & opt (limit_conv jobs_limit Format.pp_print_int) 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for world evaluation: 1 (default) runs the \
-           sequential engine backend, larger values fan candidate worlds \
-           out over N parallel domains with identical results.")
+           sequential engine backend, larger values (up to 64) fan \
+           candidate worlds out over N parallel domains with identical \
+           results.")
 
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (limit_conv timeout_limit Format.pp_print_float)) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
           "Wall-clock budget for the solve. When it expires before the \
@@ -109,7 +131,7 @@ let timeout_arg =
 let max_worlds_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (limit_conv max_worlds_limit Format.pp_print_int)) None
     & info [ "max-worlds" ] ~docv:"N"
         ~doc:
           "Evaluate at most $(docv) candidate worlds. Exceeding the bound \
@@ -701,19 +723,15 @@ let request_directives words =
       | Ok (t, mw, j), Some i -> (
           let key = String.sub w 0 i in
           let v = String.sub w (i + 1) (String.length w - i - 1) in
+          let read limit =
+            Result.map_error (( ^ ) ("bad " ^ key ^ " ")) (read_limit limit v)
+          in
           match key with
-          | "timeout" -> (
-              match float_of_string_opt v with
-              | Some f -> Ok (Some f, mw, j)
-              | None -> Error (Printf.sprintf "bad timeout %S" v))
-          | "max-worlds" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok (t, Some n, j)
-              | None -> Error (Printf.sprintf "bad max-worlds %S" v))
-          | "jobs" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok (t, mw, Some n)
-              | None -> Error (Printf.sprintf "bad jobs %S" v))
+          | "timeout" ->
+              Result.map (fun f -> (Some f, mw, j)) (read timeout_limit)
+          | "max-worlds" ->
+              Result.map (fun n -> (t, Some n, j)) (read max_worlds_limit)
+          | "jobs" -> Result.map (fun n -> (t, mw, Some n)) (read jobs_limit)
           | _ -> Error (Printf.sprintf "unknown directive %S" key))
       | Ok _, None -> Error (Printf.sprintf "unknown directive %S" w))
     (Ok (None, None, None))

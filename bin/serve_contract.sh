@@ -3,7 +3,9 @@
 # against the paper database covering every response status —
 #   SATISFIED 0 / UNSATISFIED 2 / UNKNOWN 3 (budget) / OK 0 / ERROR 1
 # — interleaved with live mutations (evict, confirm, add) whose effect
-# the following checks must observe. Used by `make test-serve` and CI.
+# the following checks must observe, and with out-of-range admission
+# directives that must be refused with a plain message and change
+# nothing. Used by `make test-serve` and CI.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -20,6 +22,13 @@ frame() {
 out=$( {
   # 1: the paper instance risks paying U8: UNSATISFIED 2
   frame "$Q"
+  # 1a-1f: a NaN timeout, zero jobs and a negative world budget are
+  # each refused (ERROR 1); the next check answers as before
+  for d in timeout=nan jobs=0 max-worlds=-1; do
+    frame "check $d
+q() :- TxOut(t, s, \"U8Pk\", a)."
+    frame "$Q"
+  done
   # 2: a zero-world budget trips before any world is checked: UNKNOWN 3
   frame "check max-worlds=0
 q() :- TxOut(t, s, \"U8Pk\", a)."
@@ -56,12 +65,20 @@ fi
 got=$(printf '%s\n' "$out" \
   | grep -a -o 'UNSATISFIED 2\|SATISFIED 0\|UNKNOWN 3\|ERROR 1\|OK 0' \
   | tr '\n' ' ')
-want='UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 OK 0 '
+want='UNSATISFIED 2 ERROR 1 UNSATISFIED 2 ERROR 1 UNSATISFIED 2 ERROR 1 UNSATISFIED 2 UNKNOWN 3 OK 0 SATISFIED 0 OK 0 SATISFIED 0 OK 0 UNSATISFIED 2 ERROR 1 OK 0 OK 0 '
 
 if [ "$got" != "$want" ]; then
   echo "FAIL: status sequence mismatch"
   echo "  got:  $got"
   echo "  want: $want"
+  printf '%s\n' "$out"
+  exit 1
+fi
+
+# Refusals carry a plain message, never a raised exception's text.
+if printf '%s\n' "$out" | grep -a -q 'Invalid_argument\|Failure\|exception'
+then
+  echo "FAIL: an error response leaked exception text"
   printf '%s\n' "$out"
   exit 1
 fi

@@ -140,15 +140,15 @@ let eval_txs_with ev obs store txs =
     Obs.span obs ~cat:"dcsat" "eval" (fun () -> Inc_eval.eval_world ev store txs)
   else Inc_eval.eval_world ev store txs
 
-let eval_txs_factory ~use_delta ~use_native obs plan () =
-  let ev = Inc_eval.evaluator ~use_delta ~use_native ~obs plan in
+let eval_txs_factory ~use_delta obs plan () =
+  let ev = Inc_eval.evaluator ~use_delta ~obs plan in
   fun store txs -> eval_txs_with ev obs store txs
 
 (* A clique work item: materialize its maximal world (memoized with the
    evaluator's world cache — the closure is world-independent), then
    evaluate. *)
-let eval_clique_factory ~use_delta ~use_native obs plan () =
-  let ev = Inc_eval.evaluator ~use_delta ~use_native ~obs plan in
+let eval_clique_factory ~use_delta obs plan () =
+  let ev = Inc_eval.evaluator ~use_delta ~obs plan in
   fun store members ->
     let world =
       if Obs.enabled obs then
@@ -158,35 +158,23 @@ let eval_clique_factory ~use_delta ~use_native obs plan () =
     in
     eval_txs_with ev obs store (Bitset.to_list world)
 
-(* Work-stealing toggle. BCDB_BK_STEAL=0 forces the claim-lock clique
-   pipeline, =1 forces the work-stealing enumerator at any jobs count
-   (the CI matrix crosses both with BCDB_TEST_JOBS); unset is Auto:
-   steal only when there are several workers to feed and the node set is
-   large enough that one sequential producer could become the
-   bottleneck. An explicit [?use_steal] argument beats the env var. *)
-let steal_env = lazy (Sys.getenv_opt "BCDB_BK_STEAL")
-let auto_steal_threshold = 32
-
-let steal_enabled ~use_steal ~jobs n =
-  match use_steal with
-  | Some b -> b
-  | None -> (
-      match Lazy.force steal_env with
-      | Some "0" -> false
-      | Some "1" -> true
-      | _ -> jobs > 1 && n >= auto_steal_threshold)
+(* Clique backend selection: steal only when there are several workers
+   to feed and the node set is large enough that one sequential producer
+   could become the bottleneck; otherwise the claim-lock pipeline. *)
+let steal_threshold = 32
+let steal_enabled ~jobs n = jobs > 1 && n >= steal_threshold
 
 (* The monotone pre-check: q false over R ∪ T implies satisfied. The
    previously active world is restored afterwards. The full-visibility
    world goes through the incremental evaluator too: on repeated solves
    of one constraint it is a pure replay. *)
-let precheck ~use_delta ~use_native session plan =
+let precheck ~use_delta session plan =
   let obs = Session.obs session in
   Obs.span obs ~cat:"dcsat" "precheck" @@ fun () ->
   let store = Session.store session in
   let saved = Tagged_store.world store in
   Tagged_store.all_visible store;
-  let ev = Inc_eval.evaluator ~use_delta ~use_native ~obs plan in
+  let ev = Inc_eval.evaluator ~use_delta ~obs plan in
   let decided = not (Inc_eval.eval_bool ev store) in
   Tagged_store.set_world store saved;
   decided
@@ -354,8 +342,8 @@ let component_source ~use_covers ~budget ~on_event session q components =
    evaluator at clique granularity (the engine claim path here counts
    components, the wrong unit), at cumulative counts under one lock;
    a budget-cut component reports [Comp_unknown] and is never cached. *)
-let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
-    ~on_event ~hooks session q plan counters components =
+let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~on_event ~hooks
+    session q plan counters components =
   let store = Session.store session in
   let obs = Session.obs session in
   let fd = Session.fd_graph session in
@@ -406,7 +394,7 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
   in
   let big, small =
     List.partition
-      (fun (_, c) -> steal_enabled ~use_steal ~jobs (List.length c))
+      (fun (_, c) -> steal_enabled ~jobs (List.length c))
       ordered
   in
   let entered = ref 0 in
@@ -430,7 +418,7 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
       go assoc
   in
   let eval_comp () =
-    let clique_eval = eval_clique_factory ~use_delta ~use_native obs plan () in
+    let clique_eval = eval_clique_factory ~use_delta obs plan () in
     fun view members ->
       let i = index_of members in
       let sub, back = Undirected.induced fd.Fd_graph.graph members in
@@ -524,7 +512,7 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
       Obs.add obs "dcsat.worlds" (Atomic.get worlds_acc)
     end
   end;
-  let eval = eval_clique_factory ~use_delta ~use_native obs plan in
+  let eval = eval_clique_factory ~use_delta obs plan in
   List.iter
     (fun (i, c) ->
       match Engine.Budget.tripped budget with
@@ -566,7 +554,7 @@ let run_scheduled ~jobs ~budget ~use_covers ~use_delta ~use_native ~use_steal
   (first_violation 0, Engine.Budget.tripped budget)
 
 let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
-    ?(use_delta = true) ?(use_native = true) session q =
+    ?(use_delta = true) session q =
   let t0 = Monotime.now () in
   let store = Session.store session in
   let saved = Tagged_store.world store in
@@ -583,7 +571,7 @@ let brute_force ?(jobs = 1) ?(budget = Engine.Budget.unlimited)
   let violation, exhausted =
     run_worlds ~jobs ~budget ~on_event:ignore ~count_cliques:false session
       counters
-      ~eval:(eval_txs_factory ~use_delta ~use_native (Session.obs session) plan)
+      ~eval:(eval_txs_factory ~use_delta (Session.obs session) plan)
       source
   in
   finish ~t0 ~precheck:false counters (verdict_of ~violation ~exhausted)
@@ -593,12 +581,12 @@ let require_monotone q k =
   | Q.Monotone.Monotone -> k ()
   | Q.Monotone.Not_monotone reason -> Error (`Not_monotone reason)
 
-let base_world_check ~use_delta ~use_native session counters plan =
+let base_world_check ~use_delta session counters plan =
   let store = Session.store session in
   let obs = Session.obs session in
   counters.worlds <- counters.worlds + 1;
   if Obs.enabled obs then Obs.add obs "dcsat.worlds" 1;
-  let ev = eval_txs_factory ~use_delta ~use_native obs plan () store [] in
+  let ev = eval_txs_factory ~use_delta obs plan () store [] in
   Option.map
     (fun (v : Engine.violation) -> (v.Engine.world, v.witness))
     ev.Engine.violation
@@ -612,14 +600,13 @@ let with_world_restored session k =
   Fun.protect ~finally:(fun () -> Tagged_store.set_world store saved) k
 
 let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
-    ?(use_delta = true) ?(use_native = true) ?use_steal ?(on_event = ignore)
-    session q =
+    ?(use_delta = true) ?(on_event = ignore) session q =
   require_monotone q @@ fun () ->
   with_world_restored session @@ fun () ->
   let t0 = Monotime.now () in
   let counters = fresh_counters () in
   let plan = Session.plan session q in
-  if use_precheck && precheck ~use_delta ~use_native session plan then begin
+  if use_precheck && precheck ~use_delta session plan then begin
     on_event Precheck_decided;
     Ok (finish ~t0 ~precheck:true counters Satisfied)
   end
@@ -627,13 +614,11 @@ let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
     let store = Session.store session in
     let k = Tagged_store.tx_count store in
     let all = List.init k Fun.id in
-    let eval =
-      eval_clique_factory ~use_delta ~use_native (Session.obs session) plan
-    in
+    let eval = eval_clique_factory ~use_delta (Session.obs session) plan in
     let violation, exhausted =
       if k = 0 then
-        (base_world_check ~use_delta ~use_native session counters plan, None)
-      else if steal_enabled ~use_steal ~jobs k then
+        (base_world_check ~use_delta session counters plan, None)
+      else if steal_enabled ~jobs k then
         run_steal ~jobs ~budget ~on_event session counters ~eval all
       else
         run_worlds ~jobs ~budget ~on_event ~count_cliques:true session counters
@@ -644,8 +629,8 @@ let naive ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
   end
 
 let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
-    ?(use_covers = true) ?(use_delta = true) ?(use_native = true) ?use_steal
-    ?(on_event = ignore) ?comp_hooks session q =
+    ?(use_covers = true) ?(use_delta = true) ?(on_event = ignore) ?comp_hooks
+    session q =
   require_monotone q @@ fun () ->
   match q with
   | Q.Query.Aggregate _ -> Error `Not_connected
@@ -656,7 +641,7 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
         let t0 = Monotime.now () in
         let counters = fresh_counters () in
         let plan = Session.plan session q in
-        if use_precheck && precheck ~use_delta ~use_native session plan then begin
+        if use_precheck && precheck ~use_delta session plan then begin
           on_event Precheck_decided;
           Ok (finish ~t0 ~precheck:true counters Satisfied)
         end
@@ -665,7 +650,7 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
           let k = Tagged_store.tx_count store in
           let violation, exhausted =
             if k = 0 then
-              (base_world_check ~use_delta ~use_native session counters plan, None)
+              (base_world_check ~use_delta session counters plan, None)
             else begin
               let obs = Session.obs session in
               let components =
@@ -683,13 +668,11 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
               on_event (Components_found (List.length components));
               match comp_hooks with
               | Some hooks ->
-                  run_scheduled ~jobs ~budget ~use_covers ~use_delta
-                    ~use_native ~use_steal ~on_event ~hooks session q plan
-                    counters components
+                  run_scheduled ~jobs ~budget ~use_covers ~use_delta ~on_event
+                    ~hooks session q plan counters components
               | None ->
               let eval =
-                eval_clique_factory ~use_delta ~use_native
-                  (Session.obs session) plan
+                eval_clique_factory ~use_delta (Session.obs session) plan
               in
               (* Components are processed in order, but big ones leave
                  the claim-lock pipeline for the work-stealing backend.
@@ -699,9 +682,7 @@ let opt ?(jobs = 1) ?(budget = Engine.Budget.unlimited) ?(use_precheck = true)
                  components each get a dedicated steal run; cumulative
                  counts feed every run's budget checks via [~counted],
                  so the budget sees one logical enumeration. *)
-              let steal_comp c =
-                steal_enabled ~use_steal ~jobs (List.length c)
-              in
+              let steal_comp c = steal_enabled ~jobs (List.length c) in
               let rec group = function
                 | [] -> []
                 | c :: rest when steal_comp c -> `Big c :: group rest

@@ -140,7 +140,6 @@ val brute_force :
   ?jobs:int ->
   ?budget:Engine.Budget.t ->
   ?use_delta:bool ->
-  ?use_native:bool ->
   Session.t ->
   Bcquery.Query.t ->
   outcome
@@ -151,8 +150,6 @@ val naive :
   ?budget:Engine.Budget.t ->
   ?use_precheck:bool ->
   ?use_delta:bool ->
-  ?use_native:bool ->
-  ?use_steal:bool ->
   ?on_event:(event -> unit) ->
   Session.t ->
   Bcquery.Query.t ->
@@ -168,19 +165,17 @@ val naive :
     bounds the enumeration; the pre-check is never budgeted (it is a
     single query evaluation).
 
-    [use_native] (default true) turns off the closure-compiled
-    evaluation tier ({!Bcquery.Eval.compile_native} via {!Inc_eval}) —
-    full evaluations then run the interpreted backtracking join;
-    answers, witnesses and counts are identical either way.
+    Full evaluations run the closure-compiled tier
+    ({!Bcquery.Eval.compile_native} via {!Inc_eval}) wherever the query
+    compiles to it, the interpreted backtracking join otherwise.
 
-    [use_steal] selects the work-stealing clique backend
-    ({!Engine.run_cliques_steal}): the enumeration itself is spread over
-    the workers instead of running behind the claim lock. Defaults to
-    the [BCDB_BK_STEAL] environment variable ([0] never, [1] always) or,
-    unset, to automatic (steal only when [jobs > 1] and the node set is
-    large). Verdicts, witnesses and — on violated or fully enumerated
-    runs — work counts are identical either way; only budget-tripped
-    counts may differ, as with the claim-lock parallel backend. *)
+    With [jobs > 1] and at least 32 nodes to enumerate, the clique
+    enumeration runs on the work-stealing backend
+    ({!Engine.run_cliques_steal}), spread over the workers instead of
+    behind the claim lock. Verdicts, witnesses and — on violated or
+    fully enumerated runs — work counts are identical on either
+    backend; only budget-tripped counts may differ, as with the
+    claim-lock parallel backend. *)
 
 val opt :
   ?jobs:int ->
@@ -188,19 +183,17 @@ val opt :
   ?use_precheck:bool ->
   ?use_covers:bool ->
   ?use_delta:bool ->
-  ?use_native:bool ->
-  ?use_steal:bool ->
   ?on_event:(event -> unit) ->
   ?comp_hooks:comp_hooks ->
   Session.t ->
   Bcquery.Query.t ->
   (outcome, refusal) result
 (** [use_covers] (default true) disables the constant-coverage component
-    filter for ablation measurements. [jobs], [budget], [use_delta],
-    [use_native] and [use_steal] as in {!naive}; with stealing enabled, big components
-    each get a dedicated work-stealing run while runs of consecutive
-    small components stay batched through one chained claim-lock source,
-    all under cumulative budget accounting.
+    filter for ablation measurements. [jobs], [budget] and [use_delta]
+    as in {!naive}; the backend rule of {!naive} applies per component:
+    big components each get a dedicated work-stealing run while runs of
+    consecutive small components stay batched through one chained
+    claim-lock source, all under cumulative budget accounting.
 
     [comp_hooks] switches component processing to the {e scheduled}
     path: components reported clean by [comp_clean] are skipped (their

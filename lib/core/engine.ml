@@ -52,13 +52,21 @@ module Budget = struct
     { deadline = None; max_worlds = max_int; max_pulled = max_int; tripped = None }
 
   let create ?timeout_s ?max_worlds ?max_pulled () =
+    (* A NaN deadline would never pass. *)
     (match timeout_s with
     | Some s when s < 0.0 -> invalid_arg "Engine.Budget.create: negative timeout"
+    | Some s when Float.is_nan s ->
+        invalid_arg "Engine.Budget.create: NaN timeout"
     | _ -> ());
+    let limit name = function
+      | Some n when n < 0 ->
+          invalid_arg (Printf.sprintf "Engine.Budget.create: negative %s" name)
+      | n -> Option.value n ~default:max_int
+    in
     {
       deadline = Option.map (fun s -> Monotime.now () +. s) timeout_s;
-      max_worlds = Option.value max_worlds ~default:max_int;
-      max_pulled = Option.value max_pulled ~default:max_int;
+      max_worlds = limit "max_worlds" max_worlds;
+      max_pulled = limit "max_pulled" max_pulled;
       tripped = None;
     }
 

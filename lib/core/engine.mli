@@ -89,7 +89,8 @@ module Budget : sig
   (** [timeout_s] is a wall-clock allowance relative to {e now}
       (monotonic clock), converted to an absolute deadline immediately —
       create the budget right before the run it bounds. Raises
-      [Invalid_argument] on a negative timeout. *)
+      [Invalid_argument] on a negative or NaN timeout and on a negative
+      [max_worlds] or [max_pulled]. *)
 
   val is_unlimited : t -> bool
 
@@ -128,9 +129,12 @@ type report = {
 
 type backend = Sequential | Parallel of int
 
+val max_jobs : int
+(** The domain-pool bound: 64 workers. *)
+
 val backend_of_jobs : int -> backend
-(** [jobs <= 1] is [Sequential]; larger values are clamped to a sane
-    domain-pool bound. *)
+(** [jobs <= 1] is [Sequential]; larger values are clamped to
+    {!max_jobs}. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

@@ -197,13 +197,12 @@ let remember st e =
 type t = {
   plan : plan;
   use_delta : bool;
-  use_native : bool;
   obs : Obs.t;
   mutable cached : (Tagged_store.t * state) option;  (* last store seen *)
 }
 
-let evaluator ?(use_delta = true) ?(use_native = true) ?(obs = Obs.null) plan =
-  { plan; use_delta; use_native; obs; cached = None }
+let evaluator ?(use_delta = true) ?(obs = Obs.null) plan =
+  { plan; use_delta; obs; cached = None }
 
 (* The evaluator's state for [store], with a one-slot physical-identity
    fast path (workers see one store for a whole engine run). A dry-run
@@ -237,9 +236,6 @@ let count_delta t tuples =
 
 let count_native t = if Obs.enabled t.obs then Obs.add t.obs "eval.compiled_native" 1
 
-(* The closure-compiled plan when this evaluator may use it. *)
-let native_of t = if t.use_native then t.plan.native else None
-
 let full_entry t store =
   count_full t;
   let p = t.plan in
@@ -247,7 +243,7 @@ let full_entry t store =
   let world = Tagged_store.world store in
   match p.agg with
   | None -> (
-      match native_of t with
+      match p.native with
       | Some nat ->
           (* Decide with the fused closure chain; only a violated world
              (at most one per engine run) pays the interpreted search
@@ -263,7 +259,7 @@ let full_entry t store =
   | Some a ->
       if p.incremental_agg then begin
         let acc = ref acc_empty in
-        (match native_of t with
+        (match p.native with
         | Some nat ->
             (* Count/Sum/Max/Min are commutative: the native plan's
                match order does not matter. (Cntd compiles natively too

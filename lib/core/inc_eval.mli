@@ -56,15 +56,15 @@ type t
     cache lives with the store, not the evaluator). Not domain-safe;
     each worker builds its own. *)
 
-val evaluator : ?use_delta:bool -> ?use_native:bool -> ?obs:Obs.t -> plan -> t
+val evaluator : ?use_delta:bool -> ?obs:Obs.t -> plan -> t
 (** [use_delta] (default true) turns the world cache and delta paths
     off entirely — every evaluation is a full search (the baseline the
-    benchmarks compare against). [use_native] (default true) selects the
-    closure-compiled plan ({!Bcquery.Eval.compile_native}) for full
-    boolean evaluations and incremental-aggregate accumulation when the
-    body is inside the tier; violated worlds re-derive their witness
-    with the interpreted search, so answers and witnesses are identical
-    either way. Counted as [eval.compiled_native] per native
+    benchmarks compare against). Full boolean evaluations and
+    incremental-aggregate accumulation run the closure-compiled plan
+    ({!Bcquery.Eval.compile_native}) when the body is inside that tier,
+    the interpreted search otherwise; violated worlds re-derive their
+    witness with the interpreted search, so answers and witnesses are
+    the interpreter's. Counted as [eval.compiled_native] per native
     evaluation. [obs] (default {!Obs.null}) receives the [eval.*]
     counters. *)
 

@@ -3,14 +3,6 @@ module Q = Bcquery
 
 (* --- per-(query, component) verdict cache -------------------------- *)
 
-(* BCDB_LIVE_CACHE=0 disables the verdict cache for every check that
-   does not pass an explicit [?use_cache]; anything else (including
-   unset) enables it. The CI matrix crosses both values. *)
-let cache_env = lazy (Sys.getenv_opt "BCDB_LIVE_CACHE")
-
-let cache_default () =
-  match Lazy.force cache_env with Some "0" -> false | _ -> true
-
 (* Cache entries unreferenced for this many cache-eligible checks of
    their query are pruned — wide enough that an add-then-evict returning
    the mempool to a recent partition still hits. *)
@@ -490,8 +482,7 @@ let prune tr =
       tr.t_viol
   end
 
-let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
-    ?use_steal ?use_cache t q =
+let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) t q =
   let budget =
     match (timeout_s, max_worlds) with
     | None, None -> None
@@ -500,20 +491,16 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
   (* A tractable-decided query never reaches the component machinery:
      skip both the seeding and the cache bookkeeping. *)
   if Tractable.decides t.db q then
-    Solver.solve ~jobs ?budget ~use_delta ?use_native ?use_steal t.session q
+    Solver.solve ~jobs ?budget ~use_delta t.session q
   else begin
-    let use_cache =
-      match use_cache with Some b -> b | None -> cache_default ()
-    in
     (* The cache only applies where OptDCSat will actually run — the
        component factorization is what makes per-component verdicts
        reusable. Naive/brute fallbacks check without hooks. Budgeted
        (admission-controlled) requests also bypass it: a cached verdict
        would answer where the budget-tripped solve must return
-       [Unknown], breaking cache-on/off bit-identity. *)
+       [Unknown], breaking bit-identity with the uncached solve. *)
     let cacheable =
-      use_cache
-      && Option.is_none budget
+      Option.is_none budget
       &&
       match q with
       | Q.Query.Boolean body -> Q.Gaifman.is_connected body
@@ -529,8 +516,7 @@ let check ?(jobs = 1) ?timeout_s ?max_worlds ?(use_delta = true) ?use_native
       | _ -> None
     in
     let result =
-      Solver.solve ~jobs ?budget ~use_delta ?use_native ?use_steal ?comp_hooks
-        t.session q
+      Solver.solve ~jobs ?budget ~use_delta ?comp_hooks t.session q
     in
     (match tr with Some tr when cacheable -> prune tr | _ -> ());
     result

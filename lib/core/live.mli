@@ -48,7 +48,8 @@
     cached as [Satisfied] and re-solves only the dirty ones (the
     scheduled path of {!Dcsat.opt}: largest-first, last-violator-first,
     deterministic lowest-index violation). Verdicts and witnesses are
-    bit-identical with the cache on or off, at any job count.
+    bit-identical to an uncached {!Solver.solve} on {!session}, at any
+    job count.
 
     [Satisfied] verdicts survive any event that leaves the component's
     content (and R) unchanged — they name no ids and claim only a
@@ -61,12 +62,10 @@
     {e twin} components with identical content share a signature, and
     a twin may only replay its own witness, never its sibling's. The
     last violator is also scheduled first as the {e suspect} when it
-    does go dirty. Budget-cut ([Unknown]) components
-    are never cached. The cache is enabled by default; set [BCDB_LIVE_CACHE=0] (or
-    pass [~use_cache:false]) to disable it. Hits, misses, and dirty
-    re-solves are surfaced as the [live.comp_cache_hit] /
-    [live.comp_cache_miss] / [live.comp_dirty] {!Obs} counters and via
-    {!cache_stats}. *)
+    does go dirty. Budget-cut ([Unknown]) components are never cached.
+    Hits, misses, and dirty re-solves are surfaced as the
+    [live.comp_cache_hit] / [live.comp_cache_miss] / [live.comp_dirty]
+    {!Obs} counters and via {!cache_stats}. *)
 
 type t
 
@@ -139,9 +138,6 @@ val check :
   ?timeout_s:float ->
   ?max_worlds:int ->
   ?use_delta:bool ->
-  ?use_native:bool ->
-  ?use_steal:bool ->
-  ?use_cache:bool ->
   t ->
   Bcquery.Query.t ->
   (Dcsat.outcome * Solver.strategy, string) result
@@ -149,11 +145,10 @@ val check :
     the maintained session, with [timeout_s]/[max_worlds] forming the
     per-request admission budget (an exhausted budget yields
     [verdict = Unknown], never a wrong answer). The first check of a
-    query starts component tracking for it. [use_cache] overrides the
-    [BCDB_LIVE_CACHE] environment default; when the cache is live and
-    the query will take the OptDCSat path, the check re-solves only
-    components whose signature is not cached (see the module preamble).
-    Tractable-decided queries bypass tracking and caching entirely, and
-    so do budgeted requests (any [timeout_s]/[max_worlds]): a cached
-    verdict could otherwise answer where the budget-tripped solve must
-    return [Unknown], breaking cache-on/off bit-identity. *)
+    query starts component tracking for it. When the query will take
+    the OptDCSat path, the check re-solves only components whose
+    signature is not cached (see the module preamble). Tractable-decided
+    queries bypass tracking and caching entirely, and so do budgeted
+    requests (any [timeout_s]/[max_worlds]): a cached verdict could
+    otherwise answer where the budget-tripped solve must return
+    [Unknown], breaking bit-identity with the uncached solve. *)

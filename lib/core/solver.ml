@@ -22,8 +22,8 @@ let strategy_counter = function
   | Naive -> "solver.strategy.naive"
   | Brute_force -> "solver.strategy.brute_force"
 
-let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
-    ?comp_hooks session q =
+let solve ?jobs ?budget ?use_delta ?sum_args_nonnegative ?comp_hooks session q
+    =
   let obs = Session.obs session in
   let result =
     Obs.span obs ~cat:"solver" "solve" @@ fun () ->
@@ -31,15 +31,11 @@ let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
     | Some (outcome, case) -> Ok (outcome, Tractable case)
     | None -> (
         match
-          Dcsat.opt ?jobs ?budget ?use_delta ?use_native ?use_steal ?comp_hooks
-            session q
+          Dcsat.opt ?jobs ?budget ?use_delta ?comp_hooks session q
         with
         | Ok outcome -> Ok (outcome, Opt)
         | Error `Not_connected -> (
-            match
-              Dcsat.naive ?jobs ?budget ?use_delta ?use_native ?use_steal
-                session q
-            with
+            match Dcsat.naive ?jobs ?budget ?use_delta session q with
             | Ok outcome -> Ok (outcome, Naive)
             | Error refusal ->
                 Error (Format.asprintf "%a" Dcsat.pp_refusal refusal))
@@ -53,7 +49,7 @@ let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
                    (Tagged_store.tx_count store) brute_limit)
             else
               Ok
-                ( Dcsat.brute_force ?jobs ?budget ?use_delta ?use_native session q,
+                ( Dcsat.brute_force ?jobs ?budget ?use_delta session q,
                   Brute_force ))
   in
   (match result with
@@ -62,11 +58,10 @@ let solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
   | _ -> ());
   result
 
-let solve_exn ?jobs ?budget ?use_delta ?use_native ?use_steal
-    ?sum_args_nonnegative ?comp_hooks session q =
+let solve_exn ?jobs ?budget ?use_delta ?sum_args_nonnegative ?comp_hooks
+    session q =
   match
-    solve ?jobs ?budget ?use_delta ?use_native ?use_steal ?sum_args_nonnegative
-      ?comp_hooks session q
+    solve ?jobs ?budget ?use_delta ?sum_args_nonnegative ?comp_hooks session q
   with
   | Ok result -> result
   | Error msg -> invalid_arg ("Solver.solve: " ^ msg)

@@ -77,8 +77,6 @@ val solve_compiled :
   ?engine:engine ->
   ?jobs:int ->
   ?use_delta:bool ->
-  ?use_native:bool ->
-  ?use_steal:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   t ->
@@ -93,8 +91,6 @@ val solve :
   ?engine:engine ->
   ?jobs:int ->
   ?use_delta:bool ->
-  ?use_native:bool ->
-  ?use_steal:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   t ->

@@ -29,8 +29,8 @@ type measurement = {
 }
 
 let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
-    ?(use_delta = true) ?use_native ?use_steal ?timeout_s ?max_worlds
-    ?(obs_sinks = []) ~session ~label ~algo ~variant q =
+    ?(use_delta = true) ?timeout_s ?max_worlds ?(obs_sinks = []) ~session
+    ~label ~algo ~variant q =
   let solve () =
     (* Budgets are single-run (the deadline is absolute): each solve gets
        a fresh one, so every repeat has the full allowance. *)
@@ -41,12 +41,8 @@ let run ?(repeats = 3) ?(warmup = 0) ?(summary = `Mean) ?(jobs = 1)
     in
     let result =
       match algo with
-      | Naive ->
-          Core.Dcsat.naive ~jobs ~budget ~use_delta ?use_native ?use_steal
-            session q
-      | Opt ->
-          Core.Dcsat.opt ~jobs ~budget ~use_delta ?use_native ?use_steal
-            session q
+      | Naive -> Core.Dcsat.naive ~jobs ~budget ~use_delta session q
+      | Opt -> Core.Dcsat.opt ~jobs ~budget ~use_delta session q
     in
     match result with
     | Ok outcome -> outcome

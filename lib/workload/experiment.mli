@@ -70,8 +70,6 @@ val run :
   ?summary:[ `Mean | `Min ] ->
   ?jobs:int ->
   ?use_delta:bool ->
-  ?use_native:bool ->
-  ?use_steal:bool ->
   ?timeout_s:float ->
   ?max_worlds:int ->
   ?obs_sinks:Bccore.Obs.sink list ->
@@ -90,13 +88,12 @@ val run :
     engine backend. [use_delta] (default true) toggles the incremental
     evaluation layer ({!Bccore.Inc_eval}); pass [false] to measure the
     full-evaluation baseline, or when comparing backends whose runs
-    would otherwise replay each other's cached worlds. [use_native]
-    (default true) toggles the closure-compiled evaluation tier;
-    [use_steal] forces the work-stealing clique backend on ([true]) or
-    off ([false]) — left unset, the solver consults [BCDB_BK_STEAL] or
-    falls back to automatic selection (see {!Bccore.Dcsat.naive}). [timeout_s]/[max_worlds] bound each individual solve
-    (a fresh {!Bccore.Engine.Budget} per run, so repeats don't share one
-    allowance); a tripped budget surfaces as [unknown = true]. Raises
+    would otherwise replay each other's cached worlds. The clique
+    backend and the evaluation tier are chosen by the solver (see
+    {!Bccore.Dcsat.naive}). [timeout_s]/[max_worlds] bound each
+    individual solve (a fresh {!Bccore.Engine.Budget} per run, so
+    repeats don't share one allowance); a tripped budget surfaces as
+    [unknown = true]. Raises
     [Invalid_argument] if the solver refuses the query (e.g. OptDCSat on
     a disconnected query).
 

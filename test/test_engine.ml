@@ -22,9 +22,18 @@ let test_budget_create () =
     (Engine.Budget.is_unlimited Engine.Budget.unlimited);
   Alcotest.(check bool) "bounded is not" false
     (Engine.Budget.is_unlimited (Engine.Budget.create ~max_worlds:5 ()));
-  Alcotest.check_raises "negative timeout"
-    (Invalid_argument "Engine.Budget.create: negative timeout") (fun () ->
-      ignore (Engine.Budget.create ~timeout_s:(-1.0) ()))
+  let create = Engine.Budget.create in
+  List.iter
+    (fun (what, make) ->
+      Alcotest.check_raises what
+        (Invalid_argument ("Engine.Budget.create: " ^ what))
+        (fun () -> ignore (make ())))
+    [
+      ("negative timeout", fun () -> create ~timeout_s:(-1.0) ());
+      ("NaN timeout", fun () -> create ~timeout_s:Float.nan ());
+      ("negative max_worlds", fun () -> create ~max_worlds:(-1) ());
+      ("negative max_pulled", fun () -> create ~max_pulled:(-1) ());
+    ]
 
 let test_budget_trips_sticky () =
   let b = Engine.Budget.create ~max_worlds:3 ~max_pulled:2 () in

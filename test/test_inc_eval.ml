@@ -75,11 +75,28 @@ let parse qi = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi)
 
 (* --- Direct differential: eval_world over random world sequences --- *)
 
+(* The interpreter's verdict over [world], as the engine reports it:
+   the reference the closure-compiled tier and the delta/replay paths
+   must reproduce, canonical witness included. *)
+let interpreted plan store world =
+  Core.Tagged_store.set_world_list store world;
+  let src = Core.Tagged_store.source store in
+  let body = Core.Inc_eval.body plan in
+  let hit witness = Some { Core.Engine.world; witness } in
+  match Core.Inc_eval.query plan with
+  | Q.Query.Boolean _ ->
+      Option.bind (Q.Eval.find_witness_compiled src body) (fun w ->
+          hit (Some w))
+  | Q.Query.Aggregate _ as q ->
+      if Q.Eval.eval_compiled src q body then hit None else None
+
 (* Both evaluators see the same store and the same world sequence; the
    delta one may answer from its cache (replay / delta-seeded search),
-   the baseline always runs the full join. Every answer — verdict and
-   canonical witness — must be identical. Worlds repeat with high
-   probability (draws from a small pool), so the replay path fires. *)
+   the baseline always runs the full join, on the closure-compiled tier
+   wherever the plan compiles to it. Every answer — verdict and
+   canonical witness — must be identical, and the interpreter's. Worlds
+   repeat with high probability (draws from a small pool), so the
+   replay path fires. *)
 let eval_world_differential =
   QCheck.Test.make
     ~name:"eval_world: delta-seeded = from-scratch over world sequences"
@@ -108,7 +125,7 @@ let eval_world_differential =
         (fun world ->
           let a = Core.Inc_eval.eval_world inc store world in
           let b = Core.Inc_eval.eval_world full store world in
-          a = b)
+          a = b && a.Core.Engine.violation = interpreted plan store world)
         steps)
 
 (* --- Maximal-world memo: cached closure = direct closure --- *)
@@ -240,71 +257,50 @@ let native_matches_interpreted =
           Q.Eval.native_exists nat src = (!interp <> [])
           && List.sort compare !native = List.sort compare !interp)
 
-(* Inc_eval level: cross use_native × use_delta over world sequences
-   with revisits, so the native tier is exercised both as the full
-   evaluator and as the fallback the delta/replay paths rest on. All
-   four evaluators must return identical entries everywhere. *)
-let native_world_differential =
-  QCheck.Test.make
-    ~name:"eval_world: native x delta cross-agreement over world sequences"
-    ~count:100
-    QCheck.(pair (int_bound 100_000) (int_bound (List.length queries - 1)))
-    (fun (seed, qi) ->
-      let rng = Random.State.make [| seed |] in
-      let db = random_db rng in
-      let session = Core.Session.create db in
-      let store = Core.Session.store session in
-      let n = Core.Tagged_store.tx_count store in
-      let plan = Core.Session.plan session (parse qi) in
-      let evs =
-        List.map
-          (fun (d, nt) -> Core.Inc_eval.evaluator ~use_delta:d ~use_native:nt plan)
-          [ (true, true); (true, false); (false, true); (false, false) ]
-      in
-      let pool =
-        Array.init 5 (fun _ ->
-            List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id))
-      in
-      let steps =
-        List.init 20 (fun _ -> pool.(Random.State.int rng (Array.length pool)))
-      in
-      List.for_all
-        (fun world ->
-          match
-            List.map (fun ev -> Core.Inc_eval.eval_world ev store world) evs
-          with
-          | a :: rest -> List.for_all (fun b -> a = b) rest
-          | [] -> assert false)
-        steps)
+(* Solver level, pre-check off (forcing the enumeration): the first
+   violation of the serial walk over each node set's maximal worlds —
+   all pending transactions for NaiveDCSat, the ind-q components in
+   order for OptDCSat — with every world judged by the interpreter.
+   Both solvers must report exactly that world and witness. *)
+let interpreted_first_violation session plan node_sets =
+  let store = Core.Session.store session in
+  List.find_map
+    (fun restrict ->
+      let found = ref None in
+      Core.Maximal_worlds.iter session ?restrict (fun world ->
+          found := interpreted plan store (Bcgraph.Bitset.to_list world);
+          if !found = None then `Continue else `Stop);
+      !found)
+    node_sets
 
-(* Solver level: with the pre-check off (forcing the enumeration), the
-   native tier must not change verdicts, witness worlds, or witnesses. *)
 let native_solver_differential =
   QCheck.Test.make
-    ~name:"naive/opt: use_native on = off with pre-check disabled" ~count:60
+    ~name:"naive/opt: outcome = interpreted serial walk, pre-check disabled"
+    ~count:60
     QCheck.(pair (int_bound 100_000) (int_bound (List.length queries - 1)))
     (fun (seed, qi) ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
       let q = parse qi in
-      let outcome_eq (a : Core.Dcsat.outcome) (b : Core.Dcsat.outcome) =
-        a.Core.Dcsat.satisfied = b.Core.Dcsat.satisfied
-        && a.Core.Dcsat.witness_world = b.Core.Dcsat.witness_world
-        && a.Core.Dcsat.witness = b.Core.Dcsat.witness
+      let agree run node_sets =
+        let s = Core.Session.create db in
+        let plan = Core.Session.plan s q in
+        let expected =
+          match interpreted_first_violation s plan (node_sets s) with
+          | Some v -> (Some v.Core.Engine.world, v.Core.Engine.witness)
+          | None -> (None, None)
+        in
+        match run (Core.Session.create db) with
+        | Error _ -> true
+        | Ok (o : Core.Dcsat.outcome) ->
+            (o.Core.Dcsat.witness_world, o.Core.Dcsat.witness) = expected
       in
-      let agree run =
-        let fresh () = Core.Session.create db in
-        match
-          (run ~use_native:false (fresh ()), run ~use_native:true (fresh ()))
-        with
-        | Ok a, Ok b -> outcome_eq a b
-        | Error _, Error _ -> true
-        | _ -> false
-      in
-      agree (fun ~use_native s ->
-          Core.Dcsat.naive ~use_precheck:false ~use_native ~jobs:par_jobs s q)
-      && agree (fun ~use_native s ->
-             Core.Dcsat.opt ~use_precheck:false ~use_native ~jobs:par_jobs s q))
+      agree
+        (fun s -> Core.Dcsat.naive ~use_precheck:false ~jobs:par_jobs s q)
+        (fun _ -> [ None ])
+      && agree
+           (fun s -> Core.Dcsat.opt ~use_precheck:false ~jobs:par_jobs s q)
+           (fun s -> List.map Option.some (Core.Session.ind_components s q)))
 
 let () =
   Alcotest.run "inc_eval"
@@ -319,7 +315,6 @@ let () =
       ( "native",
         [
           QCheck_alcotest.to_alcotest native_matches_interpreted;
-          QCheck_alcotest.to_alcotest native_world_differential;
           QCheck_alcotest.to_alcotest native_solver_differential;
         ] );
     ]

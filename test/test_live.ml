@@ -230,12 +230,13 @@ let differential ~jobs ~count =
 (* --- satellite 3 (PR 10): the verdict cache must be invisible --------
 
    Two live instances over the same initial database, driven by the
-   identical event stream; one checks with the per-(query, component)
-   verdict cache forced on, the other with it forced off. At every
-   interleaved check (every [k] events, so caches go warm, dirty and
-   warm again) the whole outcome — verdict constructor, satisfied bit,
-   witness world and witness assignment — must be bit-identical, at
-   jobs 1 and at jobs 4. *)
+   identical event stream; one answers through [Live.check] and its
+   per-(query, component) verdict cache, the other through a plain
+   [Solver.solve] on its maintained session, which never consults the
+   cache. At every interleaved check (every [k] events, so caches go
+   warm, dirty and warm again) the whole outcome — verdict constructor,
+   satisfied bit, witness world and witness assignment — must be
+   bit-identical, at jobs 1 and at jobs 4. *)
 
 let pp_world = function
   | None -> "-"
@@ -270,13 +271,14 @@ let cache_differential ~jobs ~count =
       let steps = 6 + Random.State.int rng 5 in
       let k = 1 + Random.State.int rng 2 in
       let agree step =
-        let solve ~use_cache live =
-          match Core.Live.check ~jobs ~use_cache live q with
+        let outcome = function
           | Ok (o, _) -> o
           | Error e -> QCheck.Test.fail_reportf "step %d: check: %s" step e
         in
-        let oc = solve ~use_cache:true cached
-        and ou = solve ~use_cache:false uncached in
+        let oc = outcome (Core.Live.check ~jobs cached q)
+        and ou =
+          outcome (Core.Solver.solve ~jobs (Core.Live.session uncached) q)
+        in
         let ((vc, sc, wc, bc) as c) = outcome_sig oc
         and ((vu, su, wu, bu) as u) = outcome_sig ou in
         if c <> u then
@@ -296,6 +298,52 @@ let cache_differential ~jobs ~count =
          against a fully warm cache (every component a hit). *)
       ok := !ok && agree (steps + 1) && agree (steps + 2);
       !ok)
+
+(* --- the big-component branch of the scheduled path ----------------
+
+   36 writers of ids 4..7, tied into one component by a transaction
+   holding Edge(4, 5) and Edge(6, 7): at jobs 4 that component gets a
+   dedicated work-stealing run. Cold, and again once a mutation dirties
+   it, each check must equal a jobs-1 claim-lock solve of a fresh
+   session, and the stealing backend must have claimed root subtrees. *)
+
+let test_big_component_steals () =
+  let m = fresh_model () in
+  let writer i =
+    let colour = if i / 4 mod 2 = 0 then "red" else "green" in
+    (Printf.sprintf "W%d" i, [ node_row (4 + (i mod 4)) colour ])
+  in
+  m.pending <- List.init 36 writer @ [ ("E", [ edge_row 4 5; edge_row 6 7 ]) ];
+  let obs = Core.Obs.create () in
+  let live = Core.Live.create ~obs (model_db m) in
+  let agree (text, satisfied) =
+    let q = parse text in
+    let fresh = Core.Session.create (model_db m) in
+    let before = Core.Obs.counter obs "bk.subtree" in
+    let reference = Core.Solver.solve ~jobs:1 fresh q in
+    match (Core.Live.check ~jobs:4 live q, reference) with
+    | Ok (o, Core.Solver.Opt), Ok (r, _) ->
+        Alcotest.(check bool) text satisfied o.Core.Dcsat.satisfied;
+        Alcotest.(check bool)
+          "= reference" true
+          (outcome_sig o = outcome_sig r);
+        Alcotest.(check bool) "stole" true
+          (Core.Obs.counter obs "bk.subtree" > before)
+    | _ -> Alcotest.fail "expected OptDCSat answers"
+  in
+  let checks () =
+    List.iter agree
+      [
+        (* true over R ∪ T, false in every world: a full enumeration *)
+        ({| q() :- Node(i, "red"), Node(i, "green"). |}, true);
+        (* violated in the worlds holding E and a green Node 4 or 6 *)
+        ({| q() :- Node(i, "green"), Edge(i, d). |}, false);
+      ]
+  in
+  checks ();
+  m.pending <- m.pending @ [ ("X", [ node_row 5 "green" ]) ];
+  Core.Live.add live ~label:"X" [ node_row 5 "green" ];
+  checks ()
 
 (* --- satellite 1: session caches vs in-place state mutation ---------
 
@@ -528,6 +576,8 @@ let () =
           QCheck_alcotest.to_alcotest (differential ~jobs:4 ~count:40);
           QCheck_alcotest.to_alcotest (cache_differential ~jobs:1 ~count:60);
           QCheck_alcotest.to_alcotest (cache_differential ~jobs:4 ~count:40);
+          Alcotest.test_case "big dirty component steals at jobs 4" `Quick
+            test_big_component_steals;
         ] );
       ( "staleness",
         [

@@ -242,11 +242,12 @@ let acct_row id v = ("Acct", R.Tuple.make [ V.Int id; V.Str v ])
 
 (* Random instances with heavy key conflicts: many pending writers of
    few distinct ids makes the fd graph dense — exactly the regime the
-   steal backend targets. *)
+   steal backend targets. At least 32 pending transactions, so NaiveDCSat
+   at jobs > 1 picks the stealing backend. *)
 let random_db rng =
   let state = R.Database.create cat in
   R.Database.insert_all state [ acct_row 9 "a" ];
-  let k = 5 + Random.State.int rng 5 in
+  let k = 32 + Random.State.int rng 9 in
   let random_tx () =
     let rows = 1 + Random.State.int rng 2 in
     List.init rows (fun _ ->
@@ -281,6 +282,14 @@ let same_outcome (a : Core.Dcsat.outcome) (b : Core.Dcsat.outcome) =
   && sa.Core.Dcsat.components_covered = sb.Core.Dcsat.components_covered
   && sa.Core.Dcsat.precheck_decided = sb.Core.Dcsat.precheck_decided
 
+(* Root subtrees the stealing backend claimed while [f] ran on a session
+   recording into [obs]: 0 means the claim-lock pipeline ran instead. *)
+let subtrees_during obs f =
+  let before = Core.Obs.counter obs "bk.subtree" in
+  let r = f () in
+  (r, Core.Obs.counter obs "bk.subtree" - before)
+
+(* jobs 1 is the claim-lock reference; jobs 4 on >= 32 nodes steals. *)
 let steal_matches_claim_lock =
   QCheck.Test.make
     ~name:"naive/opt: steal backend = claim-lock (verdict/witness/stats)"
@@ -289,38 +298,28 @@ let steal_matches_claim_lock =
     (fun (seed, qi) ->
       let rng = Random.State.make [| seed |] in
       let db = random_db rng in
-      let session = Core.Session.create db in
+      let obs = Core.Obs.create () in
+      let session = Core.Session.create ~obs db in
       let q = Q.Parser.parse_exn ~catalog:cat (List.nth queries qi) in
       (* no precheck: force the enumeration on every instance *)
-      let naive ~use_steal ~jobs =
-        match
-          Core.Dcsat.naive ~use_precheck:false ~use_steal ~jobs session q
-        with
+      let naive ~jobs =
+        match Core.Dcsat.naive ~use_precheck:false ~jobs session q with
         | Ok o -> o
         | Error _ -> QCheck.assume_fail ()
       in
-      let baseline = naive ~use_steal:false ~jobs:1 in
-      let naive_ok =
-        same_outcome baseline (naive ~use_steal:true ~jobs:1)
-        && same_outcome baseline (naive ~use_steal:true ~jobs:4)
-      in
+      let baseline = naive ~jobs:1 in
+      let stolen, subtrees = subtrees_during obs (fun () -> naive ~jobs:4) in
+      if subtrees = 0 then
+        QCheck.Test.fail_report "jobs 4 on >= 32 txs did not steal";
       let opt_ok =
-        match
-          Core.Dcsat.opt ~use_precheck:false ~use_steal:false ~jobs:1 session q
-        with
+        match Core.Dcsat.opt ~use_precheck:false ~jobs:1 session q with
         | Error _ -> true (* disconnected: Naive covers it *)
-        | Ok base ->
-            let run ~jobs =
-              match
-                Core.Dcsat.opt ~use_precheck:false ~use_steal:true ~jobs
-                  session q
-              with
-              | Ok o -> o
-              | Error _ -> QCheck.assume_fail ()
-            in
-            same_outcome base (run ~jobs:1) && same_outcome base (run ~jobs:4)
+        | Ok base -> (
+            match Core.Dcsat.opt ~use_precheck:false ~jobs:4 session q with
+            | Ok o -> same_outcome base o
+            | Error _ -> false)
       in
-      naive_ok && opt_ok)
+      same_outcome baseline stolen && opt_ok)
 
 (* A tripped budget must surface as Unknown and leave the session
    reusable: borrowed replicas handed back, a follow-up unbudgeted solve
@@ -328,36 +327,40 @@ let steal_matches_claim_lock =
 let budget_trips_to_unknown () =
   let state = R.Database.create cat in
   let pending =
-    (* 8 key-conflicting pairs: 2^8 maximal worlds, all satisfied *)
-    List.concat_map
-      (fun j -> [ [ acct_row j "a" ]; [ acct_row j "b" ] ])
-      (List.init 8 Fun.id)
+    (* 40 writers of 5 ids, 4 per (id, value): 2^5 maximal worlds, all
+       satisfied, over enough nodes for jobs 4 to steal *)
+    List.init 40 (fun j ->
+        [ acct_row (j mod 5) (if j / 5 mod 2 = 0 then "a" else "b") ])
   in
   let db =
     Core.Bcdb.create_exn ~state
       ~constraints:[ R.Constr.key acct [ "id" ] ]
       ~pending ()
   in
-  let session = Core.Session.create db in
+  let obs = Core.Obs.create () in
+  let session = Core.Session.create ~obs db in
   let q =
     Q.Parser.parse_exn ~catalog:cat {| q() :- Acct(x, "a"), Acct(x, "b"). |}
   in
   for _ = 1 to 2 do
     let budget = Core.Engine.Budget.create ~max_worlds:4 () in
     (match
-       Core.Dcsat.naive ~use_precheck:false ~use_steal:true ~jobs:4 ~budget
-         session q
+       Core.Dcsat.naive ~use_precheck:false ~jobs:4 ~budget session q
      with
     | Ok o -> (
         match o.Core.Dcsat.verdict with
         | Core.Dcsat.Unknown _ -> ()
         | v -> Alcotest.failf "expected Unknown, got %s" (Core.Dcsat.verdict_name v))
     | Error _ -> Alcotest.fail "refused");
-    match Core.Dcsat.naive ~use_precheck:false ~use_steal:true ~jobs:4 session q with
-    | Ok o ->
+    match
+      subtrees_during obs (fun () ->
+          Core.Dcsat.naive ~use_precheck:false ~jobs:4 session q)
+    with
+    | Ok o, subtrees ->
         Alcotest.(check bool)
-          "full solve after trip is exact" true o.Core.Dcsat.satisfied
-    | Error _ -> Alcotest.fail "refused"
+          "full solve after trip is exact" true o.Core.Dcsat.satisfied;
+        Alcotest.(check bool) "the solve stole" true (subtrees > 0)
+    | Error _, _ -> Alcotest.fail "refused"
   done
 
 let () =
